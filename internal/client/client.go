@@ -13,6 +13,18 @@
 // committed and durable — intact even while other goroutines hold open
 // transactions.
 //
+// # Flusher
+//
+// Issuing a request does not write to the socket. The caller encodes
+// its frame into the connection's pending buffer and wakes the
+// connection's flusher goroutine, which swaps the buffer out and sends
+// everything pending with one Write — every request issued while the
+// previous write was in progress rides the next syscall. The pending
+// buffer is bounded by Depth: each frame in it belongs to a call that
+// holds one of the connection's Depth in-flight tokens, so at most
+// Depth frames wait. A write error closes the connection and fails
+// every pending call; the flusher exits when the connection closes.
+//
 // The client records a wall-clock round-trip histogram per opcode
 // (Latency), which is what the remote benchmark driver reports as
 // wire-level p50/p99.
@@ -160,7 +172,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// dialConn dials one connection and starts its read loop.
+// dialConn dials one connection and starts its loops.
 func (c *Client) dialConn() (*conn, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
@@ -169,15 +181,23 @@ func (c *Client) dialConn() (*conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	return c.newConn(nc), nil
+}
+
+// newConn wraps an established connection and starts its read loop and
+// flusher.
+func (c *Client) newConn(nc net.Conn) *conn {
 	cn := &conn{
 		cl:      c,
 		nc:      nc,
-		bw:      bufio.NewWriter(nc),
 		pending: make(map[uint32]*Call),
 		sem:     make(chan struct{}, c.opts.Depth),
+		wake:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
 	}
 	go cn.readLoop()
-	return cn, nil
+	go cn.flushLoop()
+	return cn
 }
 
 // Close tears down every pooled connection and any dedicated
@@ -563,8 +583,14 @@ type conn struct {
 	cl *Client
 	nc net.Conn
 
-	wmu sync.Mutex // serializes encode+write
-	bw  *bufio.Writer
+	// wpend holds encoded frames not yet handed to the flusher; wmu
+	// guards it. Every frame in it belongs to a call holding a Depth
+	// token, so it never exceeds Depth frames. wake (capacity 1) tells
+	// the flusher there is something to send; quit stops it.
+	wmu   sync.Mutex
+	wpend []byte
+	wake  chan struct{}
+	quit  chan struct{}
 
 	mu      sync.Mutex
 	pending map[uint32]*Call
@@ -583,8 +609,8 @@ func (cn *conn) failed() bool {
 	return cn.err != nil
 }
 
-// do registers, encodes, and writes one request, returning the
-// in-flight call. Failures surface through the call.
+// do registers and encodes one request and hands it to the flusher,
+// returning the in-flight call. Failures surface through the call.
 func (cn *conn) do(req wire.Request) *Call {
 	call := &Call{op: req.Op, done: make(chan struct{}), start: time.Now()}
 	cn.sem <- struct{}{}
@@ -603,17 +629,39 @@ func (cn *conn) do(req wire.Request) *Call {
 	cn.mu.Unlock()
 
 	cn.wmu.Lock()
-	buf := wire.AppendRequest(wire.GetBuf(), req)
-	_, err := cn.bw.Write(buf)
-	if err == nil {
-		err = cn.bw.Flush()
-	}
-	wire.PutBuf(buf) // flushed (or failed): the writer owns no alias
+	cn.wpend = wire.AppendRequest(cn.wpend, req)
 	cn.wmu.Unlock()
-	if err != nil {
-		cn.close(fmt.Errorf("client: write: %w", err))
+	select {
+	case cn.wake <- struct{}{}:
+	default: // a wake-up is already pending; it will see this frame
 	}
 	return call
+}
+
+// flushLoop is the connection's flusher: each wake-up it swaps out
+// every frame pending since its last write and sends them with one
+// Write, so requests issued while a write is in progress share the
+// next syscall. It exits when the connection closes; a write error
+// closes the connection, failing every pending call.
+func (cn *conn) flushLoop() {
+	var out []byte
+	for {
+		select {
+		case <-cn.wake:
+		case <-cn.quit:
+			return
+		}
+		cn.wmu.Lock()
+		out, cn.wpend = cn.wpend, out[:0]
+		cn.wmu.Unlock()
+		if len(out) == 0 {
+			continue
+		}
+		if _, err := cn.nc.Write(out); err != nil {
+			cn.close(fmt.Errorf("client: write: %w", err))
+			return
+		}
+	}
 }
 
 // readLoop matches responses to pending calls until the connection
@@ -672,6 +720,7 @@ func (cn *conn) close(err error) {
 		calls := cn.pending
 		cn.pending = make(map[uint32]*Call)
 		cn.mu.Unlock()
+		close(cn.quit)
 		cn.nc.Close()
 		for _, call := range calls {
 			call.err = err

@@ -184,7 +184,7 @@ func Run(cfg Config) (Report, error) {
 	}
 
 	if cfg.NetPoints > 0 {
-		points, violations, err := runNet(cfg)
+		points, violations, err := runNet(cfg, rep.Opportunities)
 		if err != nil {
 			return rep, err
 		}
@@ -671,8 +671,15 @@ func (w *workload) verifyAfterCrash(tab *nvmstore.Table) error {
 
 // runNet sweeps single-shot connection drops and partial frames against
 // a live server, one scheduled point per run, checking that a retrying
-// client completes the workload with nothing lost.
-func runNet(cfg Config) (points int, violations []string, err error) {
+// client completes the workload with nothing lost. A fault-free dry run
+// counts each kind's opportunities (one per response frame the server
+// writes, whether or not its writer coalesced it with others) and
+// records them in opps.
+func runNet(cfg Config, opps map[fault.Kind]int64) (points int, violations []string, err error) {
+	dry, err := runNetWorkload(cfg, &fault.Plan{Seed: cfg.Seed}, 0)
+	if err != nil {
+		return 0, nil, fmt.Errorf("harness: network dry run: %v", err)
+	}
 	half := cfg.NetPoints / 2
 	kinds := []struct {
 		kind fault.Kind
@@ -682,25 +689,28 @@ func runNet(cfg Config) (points int, violations []string, err error) {
 		{fault.NetPartial, half},
 	}
 	for _, k := range kinds {
-		// Responses written ≈ ops issued; spread the single shot over
-		// the workload's response stream.
-		ops := int64(2 * cfg.Rows)
-		for _, point := range spread(k.n, ops) {
+		n := dry.Opportunities(k.kind)
+		opps[k.kind] = n
+		for _, point := range spread(k.n, n) {
 			points++
-			if verr := runNetPoint(cfg, k.kind, point); verr != nil {
+			plan := &fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{{Kind: k.kind, EveryN: point, Limit: 1}}}
+			if _, verr := runNetWorkload(cfg, plan, int(point)); verr != nil {
 				violations = append(violations, fmt.Sprintf("%s@%d: %v", k.kind, point, verr))
 				cfg.logf("%s@%d: VIOLATION: %v", k.kind, point, verr)
 			} else {
-				cfg.logf("%s@%d/%d: ok", k.kind, point, ops)
+				cfg.logf("%s@%d/%d: ok", k.kind, point, n)
 			}
 		}
 	}
 	return points, violations, nil
 }
 
-// runNetPoint serves a store, injects one network fault at the given
-// response index, and drives the keyspace through a retrying client.
-func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
+// runNetWorkload serves a store with plan armed on the server's write
+// path and drives the keyspace through a retrying client: a PUT of
+// every row, then a GET of every row checked against what was written
+// (rows carry tag). It returns the server's injector, whose counters
+// hold the run's opportunities.
+func runNetWorkload(cfg Config, plan *fault.Plan, tag int) (*fault.Injector, error) {
 	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
 		Architecture: cfg.Arch,
 		DRAMBytes:    4 << 20,
@@ -708,18 +718,18 @@ func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
 		SSDBytes:     64 << 20,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer store.Close()
 	if _, err := store.CreateTable(1, cfg.RowSize); err != nil {
-		return err
+		return nil, err
 	}
-	plan := &fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{{Kind: kind, EveryN: point, Limit: 1}}}
-	srv := server.New(store, server.Options{Faults: plan.Injector(0)})
+	inj := plan.Injector(0)
+	srv := server.New(store, server.Options{Faults: inj})
 	errc := make(chan error, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	go func() { errc <- srv.Serve(ln) }()
 	defer func() {
@@ -733,27 +743,27 @@ func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
 		Conns: 2, Retries: 8, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cl.Close()
 
 	for key := uint64(0); key < uint64(cfg.Rows); key++ {
-		if err := cl.Put(1, key, rowFor(cfg, key, int(point))); err != nil {
-			return fmt.Errorf("put %d: %v", key, err)
+		if err := cl.Put(1, key, rowFor(cfg, key, tag)); err != nil {
+			return nil, fmt.Errorf("put %d: %v", key, err)
 		}
 	}
 	for key := uint64(0); key < uint64(cfg.Rows); key++ {
 		got, ok, err := cl.Get(1, key)
 		if err != nil {
-			return fmt.Errorf("get %d: %v", key, err)
+			return nil, fmt.Errorf("get %d: %v", key, err)
 		}
 		if !ok {
-			return fmt.Errorf("acked key %d lost", key)
+			return nil, fmt.Errorf("acked key %d lost", key)
 		}
-		want := rowFor(cfg, key, int(point))
+		want := rowFor(cfg, key, tag)
 		if string(got[:16]) != string(want[:16]) {
-			return fmt.Errorf("key %d corrupted", key)
+			return nil, fmt.Errorf("key %d corrupted", key)
 		}
 	}
-	return nil
+	return inj, nil
 }

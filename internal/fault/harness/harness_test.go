@@ -132,3 +132,22 @@ func TestSweepDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestNetOpportunitiesMatchResponses pins the network tier's schedule
+// space: the server checks each network fault kind once per response
+// frame, also when its writer coalesces several frames into one write,
+// so the fault-free workload (a synchronous PUT and GET per row) offers
+// exactly one opportunity per operation.
+func TestNetOpportunitiesMatchResponses(t *testing.T) {
+	cfg := Config{Seed: 5}
+	cfg.applyDefaults()
+	inj, err := runNetWorkload(cfg, &fault.Plan{Seed: cfg.Seed}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []fault.Kind{fault.NetDrop, fault.NetPartial} {
+		if got, want := inj.Opportunities(k), int64(2*cfg.Rows); got != want {
+			t.Errorf("%s: %d opportunities, want %d (one per response)", k, got, want)
+		}
+	}
+}

@@ -60,23 +60,12 @@ func startBenchServer(b *testing.B, shards int) string {
 // the steady state should allocate only what must outlive a frame (the
 // decoded response's value copy and call bookkeeping).
 func BenchmarkServeGet(b *testing.B) {
-	addr := startBenchServer(b, 2)
-	cl, err := client.Dial(addr, client.Options{Conns: 1, Depth: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	const keys = 512
-	for k := uint64(0); k < keys; k++ {
-		if err := cl.Put(testTable, k, rowFor(k)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	cl := dialLoaded(b, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var inflight []*client.Call
 	for i := 0; i < b.N; i++ {
-		inflight = append(inflight, cl.GetAsync(testTable, uint64(i)%keys))
+		inflight = append(inflight, cl.GetAsync(testTable, uint64(i)%benchKeys))
 		if len(inflight) >= 64 {
 			if _, err := inflight[0].Result(); err != nil {
 				b.Fatal(err)
@@ -89,6 +78,41 @@ func BenchmarkServeGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServeGetSync is BenchmarkServeGet at depth 1: one synchronous
+// GET at a time, so nothing coalesces and each op is a bare round trip
+// — the latency that handing frames to the client's flusher goroutine
+// must not slow down.
+func BenchmarkServeGetSync(b *testing.B) {
+	cl := dialLoaded(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := cl.Get(testTable, uint64(i)%benchKeys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchKeys is how many rows dialLoaded preloads.
+const benchKeys = 512
+
+// dialLoaded starts a 2-shard bench server, preloads benchKeys rows, and
+// returns a one-connection client with the given pipeline depth.
+func dialLoaded(b *testing.B, depth int) *client.Client {
+	addr := startBenchServer(b, 2)
+	cl, err := client.Dial(addr, client.Options{Conns: 1, Depth: depth})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cl.Close() })
+	for k := uint64(0); k < benchKeys; k++ {
+		if err := cl.Put(testTable, k, rowFor(k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cl
 }
 
 // BenchmarkServePut is BenchmarkServeGet for the write path: routed

@@ -7,17 +7,23 @@
 //
 // # Threading model
 //
-// One goroutine per connection reads and decodes frames; decoded keyed
-// requests (GET/PUT/DELETE) are routed by key hash to a per-shard
-// worker goroutine, which drains its queue in batches and executes each
-// batch under a single acquisition of the shard lock — the server-side
-// continuation of the shard-per-core model (Appendix A.1). Writes in a
-// batch commit without flushing and share one WAL flush at the end of
-// the batch (group commit); responses are enqueued only after that
-// flush lands, so an acknowledged write is always durable. Responses
-// travel through a per-connection writer goroutine, so a connection's
-// responses are pipelined: many requests in flight, responses matched
-// to requests by wire request id, in whatever order the shards finish.
+// One goroutine per connection reads and decodes frames through a
+// buffered reader, so frames that arrived together cost one read
+// syscall; decoded keyed requests (GET/PUT/DELETE) are routed by key
+// hash to a per-shard worker goroutine, which drains its queue in
+// batches and executes each batch under a single acquisition of the
+// shard lock — the server-side continuation of the shard-per-core model
+// (Appendix A.1). Writes in a batch commit without flushing and share
+// one WAL flush at the end of the batch (group commit); responses are
+// enqueued only after that flush lands, so an acknowledged write is
+// always durable. Responses travel through a per-connection writer
+// goroutine, so a connection's responses are pipelined: many requests
+// in flight, responses matched to requests by wire request id, in
+// whatever order the shards finish.
+// The writer coalesces: it takes every response already queued, up to
+// writeBatchBytes (a lone larger frame goes out by itself), and sends
+// them with one Write. Network faults are still decided per frame, so
+// a fault on frame k of a batch delivers frames 1..k-1 first.
 // Scans, transaction control, and stats run inline on the reader.
 //
 // # Backpressure
@@ -26,12 +32,13 @@
 // it, which stops them from reading more frames, which fills the TCP
 // receive window — backpressure propagates to the clients as the
 // network's own flow control. A full connection write queue blocks the
-// shard workers the same way, but only for a bounded time: every write
-// carries a deadline (Options.WriteTimeout), so a peer that stops
-// reading (TCP zero window) fails its writer within the deadline rather
-// than never, the connection is severed, and its queue drains to the
-// floor (responses to a dead connection are discarded) — one stalled
-// client cannot wedge a shard for longer than WriteTimeout.
+// shard workers the same way, but only for a bounded time: every
+// coalesced write carries one deadline (Options.WriteTimeout) for its
+// whole batch of at most writeBatchBytes (or one larger frame), so a
+// peer that stops reading (TCP zero window) fails its writer within the
+// deadline rather than never, the connection is severed, and its queue
+// drains to the floor (responses to a dead connection are discarded) —
+// one stalled client cannot wedge a shard for longer than WriteTimeout.
 // Options.MaxConns bounds concurrent connections; excess dials wait in
 // the listen backlog.
 //
@@ -50,6 +57,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -842,11 +850,21 @@ type outFrame struct {
 	tl  *obs.Timeline
 }
 
+// writeBatchBytes caps how many bytes of queued response frames the
+// connection writer coalesces into one Write. It bounds the writer's
+// gather buffer and how much one write deadline covers; a single frame
+// larger than the cap is written alone, straight from its own buffer.
+const writeBatchBytes = 64 << 10
+
 // conn is one client connection.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	out chan outFrame // encoded response frames
+
+	// wbuf gathers a batch of frames for one Write; owned by the writer
+	// goroutine.
+	wbuf []byte
 
 	// pending counts requests handed to shard workers whose responses
 	// have not been enqueued yet; out closes only after it reaches zero
@@ -887,11 +905,14 @@ func (c *conn) reply(resp wire.Response, tl *obs.Timeline) {
 
 func (c *conn) readLoop() {
 	defer c.srv.connWG.Done()
+	// Buffered: one read syscall takes in every frame the client's
+	// flusher sent together, instead of two (prefix, payload) per frame.
+	br := bufio.NewReader(c.nc)
 	buf := wire.GetBuf()
 	var payload []byte
 	var err error
 	for {
-		payload, buf, err = wire.ReadFrame(c.nc, buf)
+		payload, buf, err = wire.ReadFrame(br, buf)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				c.srv.logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
@@ -1194,18 +1215,59 @@ func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 
 func (c *conn) writeLoop() {
 	defer c.srv.connWG.Done()
-	var err error
-	for f := range c.out {
-		err = c.writeFrame(f.buf, err)
-		// The frame is on the wire (or discarded): recycle it. Written
-		// and dropped frames alike, so the pool sees every buffer back.
-		wire.PutBuf(f.buf)
-		if f.tl != nil {
-			// The timeline is complete once the response bytes hit the
-			// socket (or were discarded on a dead peer); after Record
-			// it is published and must not be touched again.
-			f.tl.Finish(time.Now().UnixNano())
-			c.srv.flight.Record(f.tl)
+	var (
+		err   error
+		batch []outFrame
+		next  outFrame // a frame held back for the next batch by the byte cap
+		held  bool
+	)
+	for {
+		f := next
+		if !held {
+			var ok bool
+			if f, ok = <-c.out; !ok {
+				break
+			}
+		}
+		held = false
+		// Coalesce every frame already queued, up to writeBatchBytes; a
+		// frame that would cross the cap starts the next batch.
+		batch = append(batch[:0], f)
+		size := len(f.buf)
+	gather:
+		for size < writeBatchBytes {
+			select {
+			case g, ok := <-c.out:
+				if !ok {
+					break gather // closed: the receive above sees it next
+				}
+				if size+len(g.buf) > writeBatchBytes {
+					next, held = g, true
+					break gather
+				}
+				batch = append(batch, g)
+				size += len(g.buf)
+			default:
+				break gather
+			}
+		}
+		err = c.writeFrames(batch, err)
+		var now int64
+		for _, f := range batch {
+			// The frame is on the wire (or discarded): recycle it.
+			// Written and dropped frames alike, so the pool sees every
+			// buffer back.
+			wire.PutBuf(f.buf)
+			if f.tl != nil {
+				// The timeline is complete once the response bytes hit
+				// the socket (or were discarded on a dead peer); after
+				// Record it is published and must not be touched again.
+				if now == 0 {
+					now = time.Now().UnixNano()
+				}
+				f.tl.Finish(now)
+				c.srv.flight.Record(f.tl)
+			}
 		}
 	}
 	c.nc.Close()
@@ -1217,41 +1279,61 @@ func (c *conn) writeLoop() {
 	<-s.connSem
 }
 
-// writeFrame sends one encoded response frame, threading the sticky
-// write error: once the peer is gone every later frame is discarded so
-// the queue keeps draining.
-func (c *conn) writeFrame(buf []byte, err error) error {
+// writeFrames sends a batch of encoded response frames with one Write
+// under one deadline, threading the sticky write error: once the peer
+// is gone every later frame is discarded so the queue keeps draining.
+// Injected network faults are decided frame by frame, in order; a fault
+// on frame k still delivers frames before k, then severs the connection.
+func (c *conn) writeFrames(batch []outFrame, err error) error {
 	if err != nil {
 		return err // peer gone: discard
 	}
+	var tail []byte // bytes of a torn frame sent after the batch
 	if in := c.srv.opts.Faults; in != nil {
-		if in.Check(fault.NetDrop).Fire {
-			c.nc.Close()
-			return errors.New("injected connection drop")
-		}
-		if in.Check(fault.NetPartial).Fire {
-			// Half a frame, then sever: the client sees a short read
-			// on a frame it can neither finish nor trust.
-			c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-			c.nc.Write(buf[:len(buf)/2])
-			c.nc.Close()
-			return errors.New("injected partial frame")
+		for k, f := range batch {
+			if in.Check(fault.NetDrop).Fire {
+				batch, err = batch[:k], errors.New("injected connection drop")
+				break
+			}
+			if in.Check(fault.NetPartial).Fire {
+				// Half a frame, then sever: the client sees a short
+				// read on a frame it can neither finish nor trust.
+				tail = f.buf[:len(f.buf)/2]
+				batch, err = batch[:k], errors.New("injected partial frame")
+				break
+			}
 		}
 	}
-	// The deadline is what makes a stalled peer (TCP zero window)
-	// a bounded problem: Write fails at the latest after
-	// WriteTimeout, the connection is severed, and every later
-	// response is discarded — shard workers blocked on this
-	// connection's full queue unblock.
-	c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-	if _, werr := c.nc.Write(buf); werr != nil {
-		// Sever the connection so the reader unblocks; its
-		// remaining in-flight responses will be discarded above.
-		c.nc.Close()
-		if !errors.Is(werr, net.ErrClosed) {
-			c.srv.logf("server: %s: write: %v", c.nc.RemoteAddr(), werr)
+	var out []byte
+	if len(batch) == 1 && tail == nil {
+		out = batch[0].buf // a lone frame goes out from its own buffer
+	} else {
+		out = c.wbuf[:0]
+		for _, f := range batch {
+			out = append(out, f.buf...)
 		}
-		return werr
+		out = append(out, tail...)
+		c.wbuf = out
 	}
-	return nil
+	if len(out) > 0 {
+		// The deadline is what makes a stalled peer (TCP zero window)
+		// a bounded problem: Write fails at the latest after
+		// WriteTimeout, the connection is severed, and every later
+		// response is discarded — shard workers blocked on this
+		// connection's full queue unblock.
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
+		if _, werr := c.nc.Write(out); werr != nil && err == nil {
+			// Sever the connection so the reader unblocks; its
+			// remaining in-flight responses will be discarded above.
+			c.nc.Close()
+			if !errors.Is(werr, net.ErrClosed) {
+				c.srv.logf("server: %s: write: %v", c.nc.RemoteAddr(), werr)
+			}
+			return werr
+		}
+	}
+	if err != nil {
+		c.nc.Close() // the injected fault severs after what it let through
+	}
+	return err
 }

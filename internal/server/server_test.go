@@ -35,6 +35,17 @@ func startServer(t *testing.T, shards int, sopts server.Options) (*server.Server
 // the large-row framing tests.
 func startServerRowSize(t *testing.T, shards, rowSize int, sopts server.Options) (*server.Server, *nvmstore.ShardedStore, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startServerOn(t, ln, shards, rowSize, sopts)
+}
+
+// startServerOn is startServerRowSize serving a caller-supplied
+// listener, so a test can wrap the accepted connections.
+func startServerOn(t *testing.T, ln net.Listener, shards, rowSize int, sopts server.Options) (*server.Server, *nvmstore.ShardedStore, string) {
+	t.Helper()
 	store, err := nvmstore.OpenSharded(shards, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
 		DRAMBytes:    8 << 20,
@@ -49,15 +60,12 @@ func startServerRowSize(t *testing.T, shards, rowSize int, sopts server.Options)
 	}
 	srv := server.New(store, sopts)
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; ; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
+	go func() { errc <- srv.Serve(ln) }()
+	// Shutdown before Serve registered the listener would leave Serve
+	// accepting forever: wait until it is serving.
+	for i := 0; srv.Addr() == nil; i++ {
 		if i > 500 {
-			t.Fatal("server never started listening")
+			t.Fatal("server never started serving")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -71,7 +79,7 @@ func startServerRowSize(t *testing.T, shards, rowSize int, sopts server.Options)
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, store, addr
+	return srv, store, ln.Addr().String()
 }
 
 // rowFor builds a deterministic row payload for key.

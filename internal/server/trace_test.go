@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nvmstore/internal/client"
 	"nvmstore/internal/obs"
@@ -24,6 +25,23 @@ func statsDoc(t *testing.T, cl *client.Client) server.StatsDoc {
 		t.Fatal(err)
 	}
 	return doc
+}
+
+// waitSampled returns the flight recorder's snapshot once it holds want
+// timelines. The connection writer records a timeline only after its
+// response bytes are written, so a client can see its last reply a
+// moment before the recorder counts it; poll under a deadline, then
+// compare exactly.
+func waitSampled(t *testing.T, srv *server.Server, want int64) obs.FlightSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap := srv.TraceSnapshot()
+		if snap.Sampled >= want || time.Now().After(deadline) {
+			return snap
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestTracingEndToEnd drives traced pipelined traffic through the full
@@ -56,7 +74,7 @@ func TestTracingEndToEnd(t *testing.T) {
 		t.Fatalf("TraceStamped = %d, want %d", got, ops)
 	}
 
-	snap := srv.TraceSnapshot()
+	snap := waitSampled(t, srv, ops)
 	if snap.Sampled != ops {
 		t.Fatalf("flight recorder sampled %d, want %d", snap.Sampled, ops)
 	}
@@ -122,7 +140,7 @@ func TestTracingSampling(t *testing.T) {
 	if got := cl.TraceStamped(); got != ops/4 {
 		t.Fatalf("TraceStamped = %d, want %d", got, ops/4)
 	}
-	if snap := srv.TraceSnapshot(); snap.Sampled != ops/4 {
+	if snap := waitSampled(t, srv, ops/4); snap.Sampled != ops/4 {
 		t.Fatalf("server sampled %d, want %d", snap.Sampled, ops/4)
 	}
 	// STATS itself must not be stamped (not a keyed op).

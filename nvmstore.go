@@ -798,25 +798,29 @@ func (t *Table) ScanAsOf(sn *StoreSnapshot, from uint64, limit int, fieldOff, fi
 		})
 }
 
-// readLeafBatch is the number of leaf images a snapshot scan fetches per
-// lock acquisition: enough to amortize the lock round-trip, small enough
-// that writers wait for at most a few page copies.
+// readLeafBatch caps the number of leaf images a snapshot scan fetches
+// per lock acquisition: enough to amortize the lock round-trip, small
+// enough that writers wait for at most a few page copies. A scan starts
+// with one image and grows its fetch geometrically (1, 3, 7, 15, then
+// the cap), so a short scan copies about the leaves it reads instead of
+// a full batch of 16 KiB images it never decodes, while a long scan
+// reaches the cap within a few acquisitions.
 const readLeafBatch = 16
 
 // chainScanAsOf walks the leaf sibling chain as of snapshot stamp,
 // emitting entries with key >= from. locked runs its argument with the
 // store's exclusive access held (on a plain Store that is a direct call;
 // the sharded driver wraps the shard lock); only the leaf-image fetches
-// run under it — up to readLeafBatch images per acquisition — and
-// decoding happens on the immutable images outside. The chain walk is
-// sound because splits keep the left sibling in place (so an as-of
-// image's next pointer is the as-of successor) and leaves are never
-// merged or freed while the tree lives.
+// run under it — a growing batch of up to readLeafBatch images per
+// acquisition — and decoding happens on the immutable images outside.
+// The chain walk is sound because splits keep the left sibling in place
+// (so an as-of image's next pointer is the as-of successor) and leaves
+// are never merged or freed while the tree lives.
 func chainScanAsOf(tree *btree.Tree, stamp, from uint64, fieldOff, fieldLen int, locked func(func() error) error, fn func(key uint64, field []byte) bool) error {
 	var imgs [][]byte
 	var next core.PageID
 	first, end := true, false
-	for !end {
+	for batch := 1; !end; batch = min(2*batch+1, readLeafBatch) {
 		imgs = imgs[:0]
 		err := locked(func() error {
 			if first {
@@ -850,7 +854,7 @@ func chainScanAsOf(tree *btree.Tree, stamp, from uint64, fieldOff, fieldLen int,
 				imgs = append(imgs, img)
 				next = btree.ImageNext(img)
 			}
-			for len(imgs) < readLeafBatch {
+			for len(imgs) < batch {
 				if next == core.InvalidPageID {
 					end = true
 					return nil
