@@ -441,7 +441,9 @@ func (t *Tree) UpdateField(key uint64, off int, val []byte) (bool, error) {
 		payOff = t.leafPayOff(pos)
 	}
 	t.noteLeafWrite(h)
-	dst := h.Write(payOff+off, len(val))
+	// A logged field overwrite: redo re-applies it by key, so a torn
+	// write-back of only such changes needs no undo journal.
+	dst := h.WriteInPlace(payOff+off, len(val))
 	if t.logger != nil {
 		if err := t.logger.LogUpdate(t.id, key, off, dst, val); err != nil {
 			return false, err

@@ -43,6 +43,10 @@ type Frame struct {
 	dirty         bitmask
 	fullyResident bool
 	anyDirty      bool
+	// structural records a change since the last write-back that WAL
+	// redo cannot repair in place (anything but a WriteInPlace), so the
+	// next in-place write-back must arm the undo journal.
+	structural bool
 
 	// Mini-page state: slots[i] is the physical cache-line id stored in
 	// the i-th data slot; the slots are kept sorted by physical id so
@@ -110,7 +114,7 @@ func (f *Frame) read(m *Manager, off, n int) []byte {
 		m.nvm.Touch(base+int64(off), n)
 		return f.data[off : off+n]
 	case kindMini:
-		return f.miniAccess(m, off, n, false)
+		return f.miniAccess(m, off, n, false, false)
 	default:
 		if !f.fullyResident {
 			a, b := lineSpan(off, n)
@@ -122,27 +126,43 @@ func (f *Frame) read(m *Manager, off, n int) []byte {
 
 // write returns a writable slice covering [off, off+n), loading missing
 // cache lines first (a partially overwritten line needs its old content)
-// and marking the covered lines dirty. The same validity rule as read
-// applies.
-func (f *Frame) write(m *Manager, off, n int) []byte {
+// and marking the covered lines dirty, and the frame structurally
+// changed unless the caller writes in place (see Handle.WriteInPlace).
+// The same validity rule as read applies.
+func (f *Frame) write(m *Manager, off, n int, structural bool) []byte {
 	f.checkSpan(off, n)
 	switch f.kind {
 	case kindDirect:
 		a, b := lineSpan(off, n)
 		f.dirty.setRange(a, b)
-		f.anyDirty = true
+		f.markDirty(structural)
 		return f.data[off : off+n]
 	case kindMini:
-		return f.miniAccess(m, off, n, true)
+		return f.miniAccess(m, off, n, true, structural)
 	default:
 		a, b := lineSpan(off, n)
 		if !f.fullyResident {
 			f.ensureLines(m, a, b)
 		}
 		f.dirty.setRange(a, b)
-		f.anyDirty = true
+		f.markDirty(structural)
 		return f.data[off : off+n]
 	}
+}
+
+// markDirty sets the frame's d bit and, for a structural change, the
+// mark that makes its next write-back journaled.
+func (f *Frame) markDirty(structural bool) {
+	f.anyDirty = true
+	f.structural = f.structural || structural
+}
+
+// clearDirty resets all dirty state once the frame's content is durable.
+func (f *Frame) clearDirty() {
+	f.dirty.reset()
+	f.miniDirty = 0
+	f.anyDirty = false
+	f.structural = false
 }
 
 // readAll returns the entire page, loading whatever is missing. This is
@@ -170,7 +190,7 @@ func (f *Frame) writeAll(m *Manager) []byte {
 	switch f.kind {
 	case kindDirect:
 		f.dirty.setRange(0, LinesPerPage-1)
-		f.anyDirty = true
+		f.markDirty(true)
 		return f.data
 	case kindMini:
 		full := f.forward(m)
@@ -180,7 +200,7 @@ func (f *Frame) writeAll(m *Manager) []byte {
 			f.ensureLines(m, 0, LinesPerPage-1)
 		}
 		f.dirty.setRange(0, LinesPerPage-1)
-		f.anyDirty = true
+		f.markDirty(true)
 		return f.data
 	}
 }
@@ -240,11 +260,12 @@ func (f *Frame) miniHas(line uint8) int {
 
 // miniAccess is MakeResident for mini pages: it resolves the slot
 // indirection, loading and inserting missing lines in sorted order, and
-// promotes to a full page when the request does not fit.
-func (f *Frame) miniAccess(m *Manager, off, n int, forWrite bool) []byte {
+// promotes to a full page when the request does not fit. structural is
+// write's flag and only matters for writes.
+func (f *Frame) miniAccess(m *Manager, off, n int, forWrite, structural bool) []byte {
 	if f.promoted != nil {
 		if forWrite {
-			return f.promoted.write(m, off, n)
+			return f.promoted.write(m, off, n, structural)
 		}
 		return f.promoted.read(m, off, n)
 	}
@@ -258,7 +279,7 @@ func (f *Frame) miniAccess(m *Manager, off, n int, forWrite bool) []byte {
 	if int(f.count)+missing > MiniLines {
 		full := f.forward(m)
 		if forWrite {
-			return full.write(m, off, n)
+			return full.write(m, off, n, structural)
 		}
 		return full.read(m, off, n)
 	}
@@ -270,7 +291,7 @@ func (f *Frame) miniAccess(m *Manager, off, n int, forWrite bool) []byte {
 		for l := a; l <= b; l++ {
 			f.miniDirty |= 1 << uint(f.miniHas(uint8(l)))
 		}
-		f.anyDirty = true
+		f.markDirty(structural)
 	}
 	start := pos*LineSize + off%LineSize
 	return f.data[start : start+n]

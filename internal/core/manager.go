@@ -68,7 +68,7 @@ const (
 	// index array, and up to a full page of saved cache lines.
 	journalMagic      = 0x4a524e4c // "JRNL"
 	journalIndexLines = (LinesPerPage*2 + LineSize - 1) / LineSize
-	journalSize       = (1 + journalIndexLines) * LineSize + PageSize
+	journalSize       = (1+journalIndexLines)*LineSize + PageSize
 )
 
 // Config describes a Manager. The zero value is not valid; at minimum
@@ -204,7 +204,33 @@ type Stats struct {
 	NVMDenials     int64 // pages denied NVM admission
 	NVMEvictions   int64 // pages evicted from the NVM cache
 	DirectFixes    int64 // in-place fixes (DirectNVM topology)
+	JournalArms    int64 // in-place write-backs that armed the undo journal
 	JournalUndos   int64 // interrupted write-backs undone at restart
+	// UnjournaledCrashes counts crashes that interrupted a journal-free
+	// (field-only) write-back; WAL redo repairs such a page at restart.
+	UnjournaledCrashes int64
+}
+
+// Add accumulates o into s, field by field (for summing shards).
+func (s *Stats) Add(o Stats) {
+	s.Fixes += o.Fixes
+	s.SwizzleHits += o.SwizzleHits
+	s.TableHits += o.TableHits
+	s.Swizzles += o.Swizzles
+	s.SSDLoads += o.SSDLoads
+	s.NVMPageLoads += o.NVMPageLoads
+	s.LinesLoaded += o.LinesLoaded
+	s.MiniAllocs += o.MiniAllocs
+	s.FullAllocs += o.FullAllocs
+	s.MiniPromotions += o.MiniPromotions
+	s.DRAMEvictions += o.DRAMEvictions
+	s.NVMAdmissions += o.NVMAdmissions
+	s.NVMDenials += o.NVMDenials
+	s.NVMEvictions += o.NVMEvictions
+	s.DirectFixes += o.DirectFixes
+	s.JournalArms += o.JournalArms
+	s.JournalUndos += o.JournalUndos
+	s.UnjournaledCrashes += o.UnjournaledCrashes
 }
 
 // nvmSlotMeta is the in-DRAM directory entry for one NVM page slot
@@ -246,6 +272,10 @@ type Manager struct {
 	freeSlots   []int64
 	nvmNextSlot int64
 	nvmHand     int64
+
+	// unjournaledWB is set while a journal-free write-back is flushing,
+	// so a crash that interrupts one is counted (UnjournaledCrashes).
+	unjournaledWB bool
 
 	admission admissionSet
 
@@ -446,7 +476,26 @@ func (h Handle) Read(off, n int) []byte { return h.f.read(h.m, off, n) }
 
 // Write returns a writable slice of the page bytes [off, off+n), marking
 // the covered cache lines dirty. The same validity rule as Read applies.
-func (h Handle) Write(off, n int) []byte { return h.f.write(h.m, off, n) }
+// The change counts as structural: the page's next in-place write-back
+// to NVM arms the undo journal (see writeBackToNVM).
+func (h Handle) Write(off, n int) []byte { return h.f.write(h.m, off, n, true) }
+
+// WriteInPlace is Write for overwriting, in place, bytes that a logged
+// record re-applies by key, such as a row's payload field. It marks the
+// covered lines dirty but not the page structurally changed, so a
+// write-back that carries only such changes skips the undo journal. A
+// crash that tears that write-back leaves each flushed line either old or
+// new; restart repairs the page with WAL redo, which is safe because:
+//
+//   - the caller never changes keys or the slot directory this way, and
+//     those bytes on a flushed line are the same in both generations;
+//   - redo is logical by key and repeats all history since the last log
+//     truncation, skipping nothing by page LSN;
+//   - the log is not truncated until the write-back has completed;
+//   - losers are undone from their before-images.
+//
+// Any other page change must use Write or WriteAll.
+func (h Handle) WriteInPlace(off, n int) []byte { return h.f.write(h.m, off, n, false) }
 
 // ReadAll returns the entire page, loading it completely — the paper's
 // full-page path that avoids per-access residency checks. A mini page is
@@ -520,7 +569,7 @@ func (m *Manager) initAllocated(f *Frame) {
 	f.fullyResident = true
 	f.resident.setRange(0, LinesPerPage-1)
 	f.dirty.setRange(0, LinesPerPage-1)
-	f.anyDirty = true
+	f.markDirty(true)
 	f.pins = 1
 	f.referenced = true
 	m.table[f.pid] = dramLoc(f.idx)
@@ -768,8 +817,7 @@ func (m *Manager) Unfix(h Handle) {
 			f.dirty.setRuns(0, LinesPerPage-1, func(from, to int) {
 				m.nvm.Flush(base+int64(from)*LineSize, (to-from+1)*LineSize)
 			})
-			f.dirty.reset()
-			f.anyDirty = false
+			f.clearDirty()
 		}
 		return
 	}
@@ -848,9 +896,7 @@ func (m *Manager) ForceWrite(h Handle) {
 			}
 		}
 	}
-	f.dirty.reset()
-	f.miniDirty = 0
-	f.anyDirty = false
+	f.clearDirty()
 }
 
 // FlushAll force-writes every dirty page in the buffer pool without
@@ -1171,12 +1217,20 @@ func (m *Manager) evictFrame(f *Frame) {
 // reports whether anything was written. In page-grained mode the whole
 // page is written; in cache-line-grained mode only the dirty lines are,
 // which is the source of the endurance advantage measured in Figure 16.
+// Only a frame changed structurally since its last write-back arms the
+// undo journal; one changed only through WriteInPlace is flushed
+// directly, and WAL redo repairs it if a crash tears the flush.
 func (m *Manager) writeBackToNVM(f *Frame) bool {
 	if !f.anyDirty {
 		return false
 	}
-	armed := m.journalArm(f)
+	armed := f.structural && m.journalArm(f)
+	if armed {
+		m.stats.JournalArms++
+	}
+	m.unjournaledWB = !armed
 	written := m.nvmWriteBack(f)
+	m.unjournaledWB = false
 	if armed {
 		m.journalDisarm()
 	}
@@ -1193,7 +1247,9 @@ func (m *Manager) writeBackToNVM(f *Frame) bool {
 // repair that: rows that merely moved inside the page (shifted by a
 // neighboring, logged insert) are not themselves logged, and for a
 // dirty-with-respect-to-SSD slot the NVM copy is the only durable one,
-// so falling back to the SSD image would lose checkpointed data.
+// so falling back to the SSD image would lose checkpointed data. (A
+// frame changed only through WriteInPlace has no such rows, so
+// writeBackToNVM does not arm the journal for it.)
 //
 // The journal therefore saves the pre-write-back durable content of
 // every line about to be overwritten, then arms a header naming the
@@ -1436,6 +1492,7 @@ func (m *Manager) promoteMini(f *Frame) {
 			full.anyDirty = true
 		}
 	}
+	full.structural = f.structural
 	// Transfer swizzling state: the reference that pointed at the mini
 	// frame now points at the full frame.
 	full.parent, full.parentOff, full.rootHolder = f.parent, f.parentOff, f.rootHolder

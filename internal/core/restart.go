@@ -129,6 +129,10 @@ func (m *Manager) CrashRestart() error {
 		f.parent, f.rootHolder, f.promoted = nil, nil, nil
 		m.dropFrame(f)
 	}
+	if m.unjournaledWB {
+		m.stats.UnjournaledCrashes++
+		m.unjournaledWB = false
+	}
 	m.nvm.Crash()
 	return m.reopen()
 }

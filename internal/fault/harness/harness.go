@@ -139,6 +139,10 @@ type Report struct {
 	Crashes int
 	// Recoveries counts successful CrashRestart cycles.
 	Recoveries int
+	// UnjournaledTears counts nvm.torn points whose tear landed in a
+	// journal-free (field-only) write-back, the case WAL redo alone
+	// must repair.
+	UnjournaledTears int
 	// Violations lists every invariant failure, formatted with its
 	// fault kind and crash point. Empty means the sweep passed.
 	Violations []string
@@ -168,7 +172,7 @@ func Run(cfg Config) (Report, error) {
 		}
 		for _, point := range spread(cfg.PointsPerKind, n) {
 			rep.Points++
-			crashed, err := runPoint(cfg, kind, point)
+			crashed, unjournaled, err := runPoint(cfg, kind, point)
 			if err != nil {
 				rep.Violations = append(rep.Violations,
 					fmt.Sprintf("%s@%d/%d: %v", kind, point, n, err))
@@ -179,7 +183,10 @@ func Run(cfg Config) (Report, error) {
 				rep.Crashes++
 				rep.Recoveries++
 			}
-			cfg.logf("%s@%d/%d: ok (crashed=%v)", kind, point, n, crashed)
+			if unjournaled && kind == fault.NVMTornFlush {
+				rep.UnjournaledTears++
+			}
+			cfg.logf("%s@%d/%d: ok (crashed=%v unjournaled=%v)", kind, point, n, crashed, unjournaled)
 		}
 	}
 
@@ -277,11 +284,12 @@ func spread(count int, n int64) []int64 {
 
 // runPoint runs the workload with a single-shot fault pinned to the
 // point-th opportunity of kind, recovering and checking invariants at
-// the crash. It reports whether the fault actually surfaced.
-func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error) {
+// the crash. It reports whether the fault actually surfaced and whether
+// its crash interrupted a journal-free write-back.
+func runPoint(cfg Config, kind fault.Kind, point int64) (crashed, unjournaled bool, err error) {
 	st, tab, err := openStore(cfg)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	defer st.Close()
 	st.InjectFaults(&fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{
@@ -291,7 +299,7 @@ func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error
 	for i := 0; i < cfg.Txs; i++ {
 		hit, err := w.step(st, tab, i)
 		if err != nil {
-			return crashed, fmt.Errorf("tx %d: %v", i, err)
+			return crashed, false, fmt.Errorf("tx %d: %v", i, err)
 		}
 		if !hit {
 			continue
@@ -301,13 +309,13 @@ func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error
 		// is suspect: power-fail and recover.
 		crashed = true
 		if _, rerr := st.CrashRestart(); rerr != nil {
-			return crashed, fmt.Errorf("recovery after tx %d: %v", i, rerr)
+			return crashed, false, fmt.Errorf("recovery after tx %d: %v", i, rerr)
 		}
 		// Recovery rebuilds the trees; pre-crash table handles hold
 		// stale swizzled pointers into the lost DRAM frames.
 		tab = st.Table(1)
 		if ierr := st.CheckInvariants(); ierr != nil {
-			return crashed, fmt.Errorf("invariants after tx %d: %v", i, ierr)
+			return crashed, false, fmt.Errorf("invariants after tx %d: %v", i, ierr)
 		}
 		var verr error
 		if cfg.GroupCommit {
@@ -316,13 +324,13 @@ func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error
 			verr = w.verifyAfterCrash(tab)
 		}
 		if verr != nil {
-			return crashed, fmt.Errorf("state after tx %d: %v", i, verr)
+			return crashed, false, fmt.Errorf("state after tx %d: %v", i, verr)
 		}
 	}
 	if verr := w.verify(tab); verr != nil {
-		return crashed, fmt.Errorf("final state: %v", verr)
+		return crashed, false, fmt.Errorf("final state: %v", verr)
 	}
-	return crashed, nil
+	return crashed, st.Metrics().Buffer.UnjournaledCrashes > 0, nil
 }
 
 // ---- the deterministic transactional workload ----

@@ -37,6 +37,19 @@ func TestCrashScheduleSweep(t *testing.T) {
 	if rep.Recoveries != rep.Crashes {
 		t.Fatalf("crashes=%d but recoveries=%d", rep.Crashes, rep.Recoveries)
 	}
+	requireUnjournaledTear(t, rep)
+}
+
+// requireUnjournaledTear pins that a sweep tears at least one
+// journal-free write-back: the field-only write-backs that skip the
+// undo journal rely on WAL redo alone, so a sweep that never tears one
+// would no longer test that repair.
+func requireUnjournaledTear(t *testing.T, rep Report) {
+	t.Helper()
+	t.Logf("nvm.torn points that tore a journal-free write-back: %d", rep.UnjournaledTears)
+	if rep.UnjournaledTears == 0 {
+		t.Fatal("no nvm.torn point tore a journal-free write-back; WAL redo repair went unexercised")
+	}
 }
 
 // TestGroupCommitCrashSweep sweeps the same schedule with the workload
@@ -73,6 +86,7 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	if rep.Recoveries != rep.Crashes {
 		t.Fatalf("crashes=%d but recoveries=%d", rep.Crashes, rep.Recoveries)
 	}
+	requireUnjournaledTear(t, rep)
 }
 
 // TestCkptRoundCrashSweep concentrates the sweep on the ckpt.round

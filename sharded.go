@@ -552,21 +552,7 @@ func (s *ShardedStore) Metrics() Metrics {
 		s.slots[i].mu.Lock()
 		m := s.shards[i].Metrics()
 		s.slots[i].mu.Unlock()
-		total.Buffer.Fixes += m.Buffer.Fixes
-		total.Buffer.SwizzleHits += m.Buffer.SwizzleHits
-		total.Buffer.TableHits += m.Buffer.TableHits
-		total.Buffer.Swizzles += m.Buffer.Swizzles
-		total.Buffer.SSDLoads += m.Buffer.SSDLoads
-		total.Buffer.NVMPageLoads += m.Buffer.NVMPageLoads
-		total.Buffer.LinesLoaded += m.Buffer.LinesLoaded
-		total.Buffer.MiniAllocs += m.Buffer.MiniAllocs
-		total.Buffer.FullAllocs += m.Buffer.FullAllocs
-		total.Buffer.MiniPromotions += m.Buffer.MiniPromotions
-		total.Buffer.DRAMEvictions += m.Buffer.DRAMEvictions
-		total.Buffer.NVMAdmissions += m.Buffer.NVMAdmissions
-		total.Buffer.NVMDenials += m.Buffer.NVMDenials
-		total.Buffer.NVMEvictions += m.Buffer.NVMEvictions
-		total.Buffer.DirectFixes += m.Buffer.DirectFixes
+		total.Buffer.Add(m.Buffer)
 		total.Log.Records += m.Log.Records
 		total.Log.Commits += m.Log.Commits
 		total.Log.Aborts += m.Log.Aborts
